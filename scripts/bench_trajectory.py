@@ -45,6 +45,30 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+def _fmt_series(series: List[Dict[str, Any]]) -> str:
+    """A list of points as one cell: ``batch→throughput: 1→4,512; 10→…``.
+
+    The first key of each point is its x; any further keys are joined
+    with ``/`` on both sides of the arrow.
+    """
+    keys = list(series[0])
+    head = f"{keys[0]}→{'/'.join(keys[1:])}"
+    points = "; ".join(
+        f"{_fmt(point.get(keys[0]))}→"
+        + "/".join(_fmt(point.get(k)) for k in keys[1:])
+        for point in series
+    )
+    return f"{head}: {points}"
+
+
+def _is_series(value: Any) -> bool:
+    return (
+        isinstance(value, list)
+        and bool(value)
+        and all(isinstance(p, dict) and p for p in value)
+    )
+
+
 def load_bench_files(root: str) -> List[Tuple[str, Dict[str, Any]]]:
     """Return ``(basename, records)`` for every readable BENCH_*.json."""
     found = []
@@ -94,12 +118,14 @@ def render_markdown(files: List[Tuple[str, Dict[str, Any]]]) -> str:
                 continue
             claim = str(payload.get("claim", "—"))
             seed = _fmt(payload.get("seed", "—"))
-            metrics = [
-                f"{name}={_fmt(value)}"
-                for name, value in sorted(payload.items())
-                if name not in ("claim", "seed")
-                and isinstance(value, (int, float))
-            ]
+            metrics = []
+            for name, value in sorted(payload.items()):
+                if name in ("claim", "seed"):
+                    continue
+                if isinstance(value, (int, float)):
+                    metrics.append(f"{name}={_fmt(value)}")
+                elif _is_series(value):
+                    metrics.append(_fmt_series(value))
             lines.append(
                 f"| {key} | {claim} | {', '.join(metrics) or '—'} | {seed} |"
             )

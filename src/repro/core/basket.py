@@ -139,6 +139,8 @@ class Basket(Table):
                 f"column names {TIME_COLUMN!r}/'dc_seq' are reserved"
             )
         defs = [ColumnDef(n, a) for n, a in columns]
+        #: the schema without the implicit timestamp column
+        self.user_columns: Tuple[ColumnDef, ...] = tuple(defs)
         defs.append(ColumnDef(TIME_COLUMN, AtomType.TIMESTAMP))
         super().__init__(name, Schema(defs), is_basket=True)
         self.clock = clock or WallClock()
@@ -210,14 +212,6 @@ class Basket(Table):
             self.high_water = depth
         self._m_depth.set(depth)
         self._m_hwm.set_max(depth)
-
-    # ------------------------------------------------------------------
-    # schema helpers
-    # ------------------------------------------------------------------
-    @property
-    def user_columns(self) -> List[ColumnDef]:
-        """Schema without the implicit timestamp column."""
-        return [c for c in self.schema if c.name != TIME_COLUMN]
 
     # ------------------------------------------------------------------
     # ingest

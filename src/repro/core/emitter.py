@@ -15,6 +15,7 @@ from typing import Any, Callable, List, Optional, Tuple
 import numpy as np
 
 from ..adapters.channels import Channel, format_tuple
+from ..kernel.types import python_values
 from ..obs.metrics import MetricsRegistry, default_registry
 from ..obs.spans import SpanRecorder
 from .basket import Basket, TIME_COLUMN
@@ -222,25 +223,15 @@ class Emitter:
         """Snapshot → python rows; ``positions`` restricts to a subset
         (recovery's fresh-rows filter).  ``None`` keeps everything —
         the common case pays no indexing cost."""
-        from ..kernel.types import python_value
-
-        keep = [
-            (name, bat)
+        cols = [
+            python_values(
+                bat.atom,
+                bat.tail if positions is None else bat.tail[positions],
+            )
             for name, bat in zip(snapshot.names, snapshot.bats)
             if self.include_time or name != TIME_COLUMN
         ]
-        if not keep:
-            return []
-        cols = [
-            [
-                python_value(bat.atom, v)
-                for v in (
-                    bat.tail if positions is None else bat.tail[positions]
-                )
-            ]
-            for _, bat in keep
-        ]
-        return list(zip(*cols)) if snapshot.count else []
+        return list(zip(*cols))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Any, Optional
+from typing import Any, List, Optional
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "coerce_scalar",
     "common_type",
     "python_value",
+    "python_values",
     "parse_atom",
 ]
 
@@ -103,6 +104,11 @@ _NILS = {
     AtomType.STR: None,
     AtomType.TIMESTAMP: float("nan"),
 }
+
+# Below this many values, python_values checks NULLs in a python loop over
+# ``tolist()``: up to a few dozen rows that beats numpy's fixed per-call
+# cost of building and scanning a mask (1-row results are common).
+_SMALL_INPUT = 32
 
 # Widening lattice used by arithmetic and comparison type resolution.
 _RANK = {
@@ -223,6 +229,29 @@ def python_value(atom: AtomType, value: Any) -> Optional[Any]:
     if atom in (AtomType.DBL, AtomType.TIMESTAMP):
         return float(value)
     return int(value)
+
+
+def python_values(atom: AtomType, array: np.ndarray) -> List[Any]:
+    """Convert a storage array to plain python values (NULL → None).
+
+    The one column-at-a-time boundary from storage to python: element
+    ``i`` of the result equals ``python_value(atom, array[i])``.  Any
+    view works, including fancy-indexed or strided ones.
+    """
+    if atom is AtomType.STR:
+        return array.tolist()
+    if len(array) < _SMALL_INPUT:
+        values = array.tolist()
+        if atom is AtomType.BOOL:
+            return [None if v == -1 else bool(v) for v in values]
+        if atom in (AtomType.DBL, AtomType.TIMESTAMP):
+            return [None if v != v else v for v in values]
+        nil = int(_NILS[atom])
+        return [None if v == nil else v for v in values]
+    values = (array.astype(bool) if atom is AtomType.BOOL else array).tolist()
+    for i in np.flatnonzero(nil_mask(atom, array)).tolist():
+        values[i] = None
+    return values
 
 
 def parse_atom(atom: AtomType, text: str) -> Any:

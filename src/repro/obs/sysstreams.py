@@ -48,7 +48,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..kernel.types import AtomType
+from ..kernel.types import AtomType, python_values
 from .metrics import Histogram, MetricsRegistry
 
 __all__ = [
@@ -535,15 +535,7 @@ def tail_rows(
     Returns ``(column_names, rows)`` with the implicit ``dc_time``
     column included last — JSON-serializable by construction.
     """
-    from ..kernel.types import python_value
-
     snapshot = basket.snapshot()
-    names = list(snapshot.names)
-    count = snapshot.count
-    start = max(0, count - int(limit))
-    rows: List[List[Any]] = []
-    for i in range(start, count):
-        rows.append([
-            python_value(bat.atom, bat.tail[i]) for bat in snapshot.bats
-        ])
-    return names, rows
+    start = max(0, snapshot.count - int(limit))
+    cols = [python_values(bat.atom, bat.tail[start:]) for bat in snapshot.bats]
+    return list(snapshot.names), [list(row) for row in zip(*cols)]

@@ -39,7 +39,7 @@ from ..durability.serde import (
     pack_frame,
 )
 from ..errors import ProtocolError
-from ..kernel.types import AtomType, numpy_dtype, python_value
+from ..kernel.types import AtomType, numpy_dtype, python_values
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -231,11 +231,8 @@ def rows_from_arrays(
 ) -> List[Row]:
     """Storage arrays → python rows (inverse of :func:`arrays_from_rows`)."""
     cols = [
-        [python_value(atom, value) for value in array]
-        for (_, atom), array in zip(columns, arrays)
+        python_values(atom, array) for (_, atom), array in zip(columns, arrays)
     ]
-    if not cols or not cols[0]:
-        return []
     return list(zip(*cols))
 
 

@@ -1,7 +1,8 @@
 """Tests for the benchmark harness helpers (runner, reporting, summary)."""
 
+import importlib.util
 import json
-
+from pathlib import Path
 
 from repro.bench.reporting import print_table, record_result
 from repro.bench.runner import (
@@ -106,3 +107,33 @@ class TestSummary:
             {"LR": {"claim": "x", "series": [{"ok": True}]}}
         )
         assert "| yes |" in text
+
+
+def _load_trajectory_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "bench_trajectory.py"
+    spec = importlib.util.spec_from_file_location("bench_trajectory", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTrajectory:
+    def test_series_payload_renders_compactly(self):
+        trajectory = _load_trajectory_script()
+        records = {
+            "F1": {
+                "claim": "throughput grows with batch size",
+                "seed": 42,
+                "series": [
+                    {"batch": 1, "throughput": 4512.25},
+                    {"batch": 10, "throughput": 40000.0},
+                ],
+            },
+            "P1": {"claim": "scalar only", "speedup": 12.4},
+        }
+        text = trajectory.render_markdown([("BENCH_fig1.json", records)])
+        assert (
+            "| F1 | throughput grows with batch size | "
+            "batch→throughput: 1→4,512; 10→40,000 | 42 |"
+        ) in text
+        assert "| P1 | scalar only | speedup=12.40 | — |" in text

@@ -28,6 +28,12 @@ class TestSchema:
         assert basket.schema.has(TIME_COLUMN)
         assert [c.name for c in basket.user_columns] == ["v", "s"]
 
+    def test_user_columns_computed_once(self, basket):
+        assert TIME_COLUMN not in [c.name for c in basket.user_columns]
+        assert basket.user_columns is basket.user_columns
+        basket.insert_rows([(1, "a")])
+        assert [c.name for c in basket.user_columns] == ["v", "s"]
+
     def test_reserved_names_rejected(self, clock):
         with pytest.raises(BasketError):
             Basket("b", [("dc_time", AtomType.INT)], clock)

@@ -1,8 +1,12 @@
 """Unit tests for the kernel atom-type system."""
 
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import TypeMismatchError
 from repro.kernel.types import (
@@ -19,7 +23,9 @@ from repro.kernel.types import (
     numpy_dtype,
     parse_atom,
     python_value,
+    python_values,
 )
+from repro.kernel.types import _SMALL_INPUT
 
 
 class TestDtypes:
@@ -155,6 +161,100 @@ class TestPythonValue:
     def test_dbl_returns_python_float(self):
         out = python_value(AtomType.DBL, np.float64(2.5))
         assert out == 2.5 and isinstance(out, float)
+
+
+#: per atom: draws of one storage value, its NULL sentinel included
+_ATOM_VALUES = {
+    AtomType.OID: st.one_of(
+        st.just(int(OID_NIL)), st.integers(-(2**63), 2**63 - 1)
+    ),
+    AtomType.BOOL: st.sampled_from([int(BOOL_NIL), 0, 1]),
+    AtomType.INT: st.one_of(
+        st.just(int(INT_NIL)), st.integers(-(2**31), 2**31 - 1)
+    ),
+    AtomType.LNG: st.one_of(
+        st.just(int(LNG_NIL)), st.integers(-(2**63), 2**63 - 1)
+    ),
+    AtomType.DBL: st.floats(allow_nan=True, allow_infinity=True),
+    AtomType.STR: st.one_of(st.none(), st.text(max_size=5)),
+    AtomType.TIMESTAMP: st.one_of(st.just(math.nan), st.floats(0, 2e9)),
+}
+
+#: one non-NULL value per atom, for arrays built by hand
+_PLAIN = {
+    AtomType.OID: 7,
+    AtomType.BOOL: 1,
+    AtomType.INT: -3,
+    AtomType.LNG: 2**40,
+    AtomType.DBL: 2.5,
+    AtomType.STR: "x",
+    AtomType.TIMESTAMP: 1.7e9,
+}
+
+
+def _storage(atom, values):
+    array = np.empty(len(values), dtype=numpy_dtype(atom))
+    array[:] = values
+    return array
+
+
+def _typed(values):
+    """Values with their types: ``1 == True`` must not pass as equal."""
+    return [(type(v), v) for v in values]
+
+
+def _assert_matches_scalar(atom, array):
+    reference = [python_value(atom, v) for v in array]
+    assert _typed(python_values(atom, array)) == _typed(reference)
+
+
+class TestPythonValues:
+    """The vectorised conversion agrees with the scalar one everywhere."""
+
+    @pytest.mark.parametrize("atom", list(AtomType))
+    @pytest.mark.parametrize(
+        "length",
+        [0, 1, _SMALL_INPUT - 1, _SMALL_INPUT, _SMALL_INPUT + 1, 200],
+    )
+    def test_nils_on_both_sides_of_the_cutoff(self, atom, length):
+        values = [
+            nil_value(atom) if i % 3 == 0 else _PLAIN[atom]
+            for i in range(length)
+        ]
+        array = _storage(atom, values)
+        _assert_matches_scalar(atom, array)
+        out = python_values(atom, array)
+        assert [v is None for v in out] == [i % 3 == 0 for i in range(length)]
+
+    @pytest.mark.parametrize("atom", list(AtomType))
+    def test_empty(self, atom):
+        assert python_values(atom, _storage(atom, [])) == []
+
+    @pytest.mark.parametrize("atom", list(AtomType))
+    @given(data=st.data())
+    def test_agrees_with_python_value(self, atom, data):
+        values = data.draw(
+            st.lists(_ATOM_VALUES[atom], max_size=3 * _SMALL_INPUT)
+        )
+        _assert_matches_scalar(atom, _storage(atom, values))
+
+    @pytest.mark.parametrize("atom", list(AtomType))
+    @given(data=st.data())
+    def test_agrees_on_non_contiguous_views(self, atom, data):
+        values = data.draw(
+            st.lists(_ATOM_VALUES[atom], min_size=1, max_size=3 * _SMALL_INPUT)
+        )
+        array = _storage(atom, values)
+        positions = np.array(
+            data.draw(
+                st.lists(st.integers(0, len(values) - 1),
+                         max_size=3 * _SMALL_INPUT)
+            ),
+            dtype=np.int64,
+        )
+        _assert_matches_scalar(atom, array[positions])  # fancy-indexed
+        _assert_matches_scalar(atom, array[::2])  # strided
+        _assert_matches_scalar(atom, array[::-1])
 
 
 class TestParseAtom:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.durability.serde import pack_frame
 from repro.errors import ProtocolError
-from repro.kernel.types import AtomType
+from repro.kernel.types import AtomType, nil_value
 from repro.server.protocol import (
     Command,
     FrameDecoder,
@@ -117,6 +117,22 @@ class TestRowConversion:
     def test_roundtrip(self):
         arrays = arrays_from_rows(COLUMNS, ROWS)
         assert rows_from_arrays(COLUMNS, arrays) == ROWS
+
+    @pytest.mark.parametrize("copies", [1, 20])
+    def test_nil_roundtrip(self, copies):
+        """Sentinels in, ``None`` out, on either side of the small-input
+        cutoff (3 rows vs 60)."""
+        columns = [(atom.value, atom) for atom in AtomType]
+        nils = tuple(nil_value(atom) for atom in AtomType)
+        plain = (7, 1, -3, 2**40, 2.5, "x", 1.7e9)
+        rows = [nils, plain, (1, 0, 0, 0, -0.5, "", 0.0)] * copies
+        arrays = arrays_from_rows(columns, rows)
+        expected = [
+            (None,) * len(columns),
+            (7, True, -3, 2**40, 2.5, "x", 1.7e9),
+            (1, False, 0, 0, -0.5, "", 0.0),
+        ] * copies
+        assert rows_from_arrays(columns, arrays) == expected
 
     def test_arity_mismatch(self):
         with pytest.raises(ProtocolError, match="fields"):

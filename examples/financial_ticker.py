@@ -37,7 +37,7 @@ def main() -> None:
     )
     stats_reeval = cell.submit_window_aggregate(
         "ticks_reeval", "price", ["avg", "min", "max"],
-        spec, group_by="sym", incremental=False, name="stats_reeval",
+        spec, group_by="sym", execution="reeval", name="stats_reeval",
     )
 
     big_trades = cell.submit_continuous(

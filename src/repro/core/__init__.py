@@ -14,7 +14,6 @@ from .factory import (
     InputBinding,
     PlanOutput,
 )
-from .petrinet import MarkedPlace, PetriNet, Place, Transition
 from .receptor import Receptor
 from .scheduler import FiringPolicy, PriorityPolicy, Scheduler
 from .shedding import LoadShedController, apply_shedding_policy
@@ -46,10 +45,6 @@ __all__ = [
     "Factory",
     "InputBinding",
     "PlanOutput",
-    "MarkedPlace",
-    "PetriNet",
-    "Place",
-    "Transition",
     "Receptor",
     "Scheduler",
     "FiringPolicy",

@@ -63,6 +63,16 @@ class ContinuousQuery:
         """Delivered-but-unfetched rows, without draining."""
         return list(self._collector.rows)
 
+    def stop_collecting(self) -> None:
+        """Stop buffering deliveries for :meth:`fetch`.
+
+        For a query only push subscribers read (e.g. one a server
+        session owns): nothing would ever drain the collector, so it
+        would hold every delivered row for the query's lifetime.
+        """
+        self.emitter.unsubscribe(self._collector)
+        self._collector.rows = []
+
     def fetch_integrated(self) -> List[Row]:
         """The integrated (current) result of a weighted delta stream.
 

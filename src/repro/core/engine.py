@@ -639,7 +639,6 @@ class DataCell:
         aggregates: Sequence[str],
         spec: WindowSpec,
         group_by: Optional[str] = None,
-        incremental: bool = True,
         name: Optional[str] = None,
         tenant: str = "default",
         execution: Optional[str] = None,
@@ -650,15 +649,13 @@ class DataCell:
         delta plan (:class:`~repro.incremental.windows
         .DeltaWindowAggregatePlan`, retraction on expiry), ``"basic"``
         the basic-window route, ``"reeval"`` full re-evaluation (paper
-        §3.1).  When ``execution`` is None the legacy ``incremental``
-        flag picks basic vs re-eval — unless the engine itself runs in
-        incremental mode, which selects the delta plan.
+        §3.1).  None picks the delta plan in an incremental-mode engine
+        and the basic-window route otherwise.
         """
         if execution is None:
-            if self.execution == "incremental":
-                execution = "incremental"
-            else:
-                execution = "basic" if incremental else "reeval"
+            execution = (
+                "incremental" if self.execution == "incremental" else "basic"
+            )
         if execution == "incremental":
             from ..incremental.windows import DeltaWindowAggregatePlan
 

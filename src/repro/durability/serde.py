@@ -91,6 +91,12 @@ def decode_column(atom: AtomType, payload: bytes) -> np.ndarray:
     (count,) = _COUNT.unpack_from(payload, 0)
     offset = _COUNT.size
     if atom is AtomType.STR:
+        # every value carries at least its length prefix: an untrusted
+        # count beyond that bound is rejected before anything is sized
+        if count > (len(payload) - offset) // _STRLEN.size:
+            raise DurabilityError(
+                f"STR column payload cannot hold {count} values"
+            )
         out = np.empty(count, dtype=object)
         for i in range(count):
             if len(payload) < offset + _STRLEN.size:
@@ -102,7 +108,10 @@ def decode_column(atom: AtomType, payload: bytes) -> np.ndarray:
                 continue
             if len(payload) < offset + length:
                 raise DurabilityError("truncated STR column payload")
-            out[i] = payload[offset : offset + length].decode("utf-8")
+            try:
+                out[i] = payload[offset : offset + length].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DurabilityError(f"bad STR column value: {exc}") from None
             offset += length
         return out
     wire = _WIRE_DTYPES[atom]

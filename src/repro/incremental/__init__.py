@@ -20,8 +20,8 @@ Layers:
   a continuous query into an incremental circuit, with per-query
   fallback to the re-evaluation (MAL) path.
 
-Every operator here has a re-evaluation twin; ``repro.simtest.incremental``
-is the differential harness proving the two produce identical output.
+Every operator here has a re-evaluation twin; the ``incremental``
+configurations of ``repro.simtest`` prove it against its reference.
 See ``docs/incremental.md``.
 """
 

@@ -152,7 +152,9 @@ def decode_payload(payload: bytes) -> Message:
         raise ProtocolError("frame payload shorter than its metadata")
     try:
         meta = json.loads(payload[offset : offset + meta_len])
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8 and bad JSON; RecursionError a
+        # nesting depth the parser cannot follow
         raise ProtocolError(f"bad frame metadata: {exc}") from None
     if not isinstance(meta, dict):
         raise ProtocolError("frame metadata must be a JSON object")

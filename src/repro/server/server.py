@@ -671,6 +671,9 @@ class DataCellServer:
                         name=message.meta.get("name"),
                         tenant=session.tenant,
                     )
+                    # the session is this query's only reader: no
+                    # fetch() ever drains the handle's own collector
+                    handle.stop_collecting()
                     owned = True
                 else:
                     raise ServerError(

@@ -17,35 +17,36 @@ correctness substrate instead:
   faults at basket boundaries and raises exceptions inside transitions
   (exercising the scheduler's ``on_exception`` hook and the flight
   recorder).
-* :mod:`~repro.simtest.oracle` replays every simulated input stream
-  through both the continuous-query pipeline and a one-shot execution of
-  the same SQL over the accumulated stream table (plus the ``baselines``
-  engines for window queries), asserting emitted-result equivalence up
-  to permutation — the "streaming must equal re-running the SQL"
-  property DataCell inherits from the relational kernel.  A shrinker
-  minimizes ``(stream, schedule)`` on failure.
-* :mod:`~repro.simtest.crash` kills seeded episodes at firing
-  boundaries and requires recovery (checkpoint + WAL replay) to deliver
-  byte-identically what the uninterrupted run delivers — the
-  durability subsystem's exactly-once differential gate.
+* :mod:`~repro.simtest.harness` runs one :class:`Episode` under a list
+  of configurations (:class:`Config`: re-eval, basic or incremental route;
+  receptor or wire ingest; killed at firing k and recovered) and checks
+  each against its reference: the one-shot SQL over the delivered
+  stream (integrated first for weighted deltas), the naive per-tuple
+  window baseline, the re-eval route, or the uninterrupted run — the
+  "streaming must equal re-running the SQL" property DataCell inherits
+  from the relational kernel.  One shrinker minimizes ``(stream,
+  schedule)`` on failure; ``python -m repro.simtest.run`` is the CLI.
 
 See ``docs/testing.md`` for the fault matrix, the oracle equivalence
 rules, and how to reproduce a failure from a printed repro line.
 """
 
-# NOTE: .crash is intentionally not imported here — it is a CLI entry
-# point (``python -m repro.simtest.crash``) and importing it from the
+# NOTE: .run is intentionally not imported here — it is the CLI entry
+# point (``python -m repro.simtest.run``) and importing it from the
 # package __init__ would trigger the runpy double-import warning.
 from .faults import FaultableChannel, FaultPlan, InjectedFault
-from .oracle import (
-    ORACLE_CASES,
-    DifferentialResult,
-    EpisodeSpec,
-    OracleCase,
-    check_episode,
-    render_repro,
-    run_window_differential,
-    shrink_episode,
+from .harness import (
+    KINDS,
+    WORKLOADS,
+    Config,
+    Episode,
+    Result,
+    Run,
+    cases,
+    check,
+    execute,
+    matrix,
+    shrink,
 )
 from .policies import (
     PriorityInvertingPolicy,
@@ -61,14 +62,17 @@ __all__ = [
     "FaultPlan",
     "FaultableChannel",
     "InjectedFault",
-    "OracleCase",
-    "ORACLE_CASES",
-    "EpisodeSpec",
-    "DifferentialResult",
-    "check_episode",
-    "shrink_episode",
-    "render_repro",
-    "run_window_differential",
+    "KINDS",
+    "WORKLOADS",
+    "Config",
+    "Episode",
+    "Result",
+    "Run",
+    "cases",
+    "check",
+    "execute",
+    "matrix",
+    "shrink",
     "RandomPolicy",
     "RoundRobinPolicy",
     "PriorityInvertingPolicy",

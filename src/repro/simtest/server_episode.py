@@ -13,7 +13,7 @@ batch through the *real* wire encoding — ``insert_message`` →
 ``encode_message`` → :class:`~repro.server.protocol.FrameDecoder` — and
 enqueues the decoded batches for the pump.
 
-With ``EpisodeSpec(via_server=True)`` the differential oracle runs the
+Under ``Config(wire=True)`` the differential harness runs the
 streaming side through this path, extending the streaming ≡ one-shot
 claim over frame encoding, decoding, and the queue seam itself.
 """

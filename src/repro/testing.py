@@ -10,7 +10,7 @@ failure or figure can name the seed that produced it.
 
 The simulation harness (:mod:`repro.simtest`) keeps *per-episode* seeds
 on top of this — an episode must be reproducible in isolation from its
-own ``EpisodeSpec`` — but its CI entry point derives its base seed from
+own ``Episode`` — but its CI entry point derives its base seed from
 here too.
 """
 

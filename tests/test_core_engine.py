@@ -206,11 +206,11 @@ class TestWindowApi:
         cell.execute("create basket t2 (v double)")
         qi = cell.submit_window_aggregate(
             "t1", "v", ["sum", "max"], WindowSpec(WindowMode.COUNT, 6, 3),
-            incremental=True,
+            execution="basic",
         )
         qr = cell.submit_window_aggregate(
             "t2", "v", ["sum", "max"], WindowSpec(WindowMode.COUNT, 6, 3),
-            incremental=False,
+            execution="reeval",
         )
         for i in range(20):
             cell.insert("t1", [(float(i % 7),)])

@@ -8,6 +8,8 @@ layer must detect corruption anywhere in a payload and treat a short
 tail as torn, never as data.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,14 @@ def test_decode_rejects_truncated_str_payload():
     payload = encode_column(AtomType.STR, ["hello", "world"])
     with pytest.raises(DurabilityError):
         decode_column(AtomType.STR, payload[:-3])
+
+
+def test_decode_rejects_str_count_beyond_payload():
+    # the u64 count is untrusted: it must be checked against what the
+    # payload can hold before the decoder sizes anything from it
+    for count in (2**60, 2**62):
+        with pytest.raises(DurabilityError):
+            decode_column(AtomType.STR, struct.pack("<Q", count))
 
 
 # ----------------------------------------------------------------------

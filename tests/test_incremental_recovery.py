@@ -16,10 +16,10 @@ from repro import DataCell
 from repro.durability import DurabilityConfig
 from repro.incremental import integrate_weighted_rows
 from repro.kernel.types import AtomType
-from repro.simtest.crash import CrashSpec, check_crash_episode
-from repro.simtest.incremental import incremental_episode_spec
+from repro.simtest import Config, Episode, check, matrix
 
 ROWS = [(k % 4, v) for k, v in zip(range(30), range(-6, 24))]
+INCREMENTAL_CRASH = Config("incremental", crash=True)
 
 
 # ----------------------------------------------------------------------
@@ -30,18 +30,17 @@ ROWS = [(k % 4, v) for k, v in zip(range(30), range(-6, 24))]
 def test_linear_circuit_crash_recovers_byte_identically(
     case, checkpoint_every
 ):
-    spec = CrashSpec(
+    spec = Episode(
         seed=101,
         rows=tuple(ROWS),
-        case=case,
+        workload=case,
         policy="priority",
         batch_size=4,
         crash_after=4,
         checkpoint_every=checkpoint_every,
         fsync="always",
-        execution="incremental",
     )
-    result = check_crash_episode(spec)
+    result = check(spec, INCREMENTAL_CRASH)
     assert result.crashed
     assert result.ok, result.explain()
 
@@ -54,28 +53,28 @@ def test_linear_circuit_crash_recovers_byte_identically(
 def test_delta_window_crash_recovers_byte_identically(
     size, slide, aggregate
 ):
-    spec = CrashSpec(
+    spec = Episode(
         seed=202,
         rows=tuple((v,) for v, _ in ROWS),
-        case="window",
+        workload="count_window",
         policy="random",
         batch_size=3,
         crash_after=5,
         checkpoint_every=2,
         fsync="interval",
         window=(size, slide),
-        window_aggregate=aggregate,
-        execution="incremental",
+        aggregates=(aggregate,),
     )
-    result = check_crash_episode(spec)
+    result = check(spec, INCREMENTAL_CRASH)
     assert result.crashed
     assert result.ok, result.explain()
 
 
 def test_seeded_corpus_cycles_incremental_crash_episodes():
     """The CI generator must actually exercise incremental crashes."""
-    specs = [incremental_episode_spec(i, base_seed=0) for i in range(60)]
-    crash_specs = [s for s in specs if s.kind == "crash"]
+    # the incremental CI matrix: incremental,incremental,incremental+crash
+    configs = [Config("incremental")] * 2 + [INCREMENTAL_CRASH]
+    crash_specs = [e for e, c in matrix(configs, 60, 0) if c.crash]
     assert len(crash_specs) >= 8
 
 

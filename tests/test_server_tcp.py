@@ -109,6 +109,35 @@ def test_two_sessions_fan_out_one_query():
     assert query.emitter.subscriber_count == baseline
 
 
+def test_owned_query_buffers_no_rows_outside_the_session():
+    """A session-owned query has no fetch() reader: its handle's own
+    collector must not keep every delivered row.  An attached query
+    keeps its collector."""
+    cell, server = _boot()
+    attached = cell.submit_continuous(
+        "select t.price from [select * from trades "
+        "where trades.price < 0] as t",
+        name="attached",
+    )
+    try:
+        with DataCellClient(*server.address) as db:
+            db.subscribe(BIG_SQL, name="big")
+            db.subscribe(query="attached")
+            for i in range(5):
+                db.insert(
+                    "trades", TRADE_COLUMNS, [(200 + i, "X"), (-1 - i, "Y")]
+                )
+            assert len(db.poll("big", timeout=10.0, min_rows=5)) == 5
+            assert len(db.poll("attached", timeout=10.0, min_rows=5)) == 5
+            (owned,) = [
+                q for q in cell.continuous_queries() if q.name == "big"
+            ]
+            assert owned.peek() == []
+            assert len(attached.peek()) == 5
+    finally:
+        cell.stop()
+
+
 def test_unknown_basket_and_unknown_query_errors():
     cell, server = _boot()
     try:

@@ -11,11 +11,17 @@ duplicate-delivery bug (high-water suppression disabled) must be
 import pytest
 
 from repro.core.emitter import Emitter
-from repro.simtest.crash import (
-    CrashSpec,
-    check_crash_episode,
-    crash_episode_spec,
-)
+from repro.simtest import Config, Episode, check, matrix, shrink
+
+# the crash-recovery CI job's configuration matrix
+CRASH_CONFIGS = [
+    Config.parse(text)
+    for text in (
+        "reeval+crash", "basic+crash", "incremental+crash",
+        "reeval+wire+crash", "incremental+wire+crash",
+    )
+]
+CRASH = Config(crash=True)
 
 # 4 chunks x 25 = 100 seeded episodes, the acceptance floor; chunking
 # keeps per-test wall time visible and failures localized
@@ -24,16 +30,16 @@ CHUNK = 25
 
 @pytest.mark.parametrize("chunk", range(4))
 def test_seeded_crash_episodes_recover_byte_identically(chunk):
-    for index in range(chunk * CHUNK, (chunk + 1) * CHUNK):
-        spec = crash_episode_spec(index, base_seed=0)
-        result = check_crash_episode(spec)
+    episodes = list(matrix(CRASH_CONFIGS, (chunk + 1) * CHUNK, 0))
+    for episode, config in episodes[chunk * CHUNK :]:
+        result = check(episode, config)
         assert result.ok, result.explain()
 
 
 def test_both_query_shapes_and_all_fsync_policies_are_exercised():
-    specs = [crash_episode_spec(i, base_seed=0) for i in range(100)]
-    cases = {s.case for s in specs}
-    assert "window" in cases
+    specs = [episode for episode, _ in matrix(CRASH_CONFIGS, 100, 0)]
+    cases = {s.workload for s in specs}
+    assert "count_window" in cases
     assert len(cases) >= 4
     assert {s.fsync for s in specs} == {"interval", "off", "always"}
     assert any(s.checkpoint_every for s in specs)
@@ -45,17 +51,17 @@ def test_both_query_shapes_and_all_fsync_policies_are_exercised():
 
 
 def test_explicit_mid_stream_crash_with_checkpoint():
-    spec = CrashSpec(
+    spec = Episode(
         seed=42,
         rows=tuple((v, v % 7) for v in range(30)),
-        case="passthrough",
+        workload="passthrough",
         policy="priority",
         batch_size=4,
         crash_after=9,
         checkpoint_every=3,
         fsync="always",
     )
-    result = check_crash_episode(spec)
+    result = check(spec, CRASH)
     assert result.crashed
     assert result.ok, result.explain()
     # the crash landed mid-stream: both phases must have delivered rows
@@ -64,18 +70,18 @@ def test_explicit_mid_stream_crash_with_checkpoint():
 
 
 def test_window_episode_recovers_partial_window_state():
-    spec = CrashSpec(
+    spec = Episode(
         seed=43,
         rows=tuple((v,) for v in range(25)),
-        case="window",
+        workload="count_window",
         window=(4, 2),
-        window_aggregate="sum",
+        aggregates=("sum",),
         policy="round-robin",
         batch_size=3,
         crash_after=8,
         checkpoint_every=4,
     )
-    result = check_crash_episode(spec)
+    result = check(spec, Config("basic", crash=True))
     assert result.crashed
     assert result.ok, result.explain()
 
@@ -84,10 +90,10 @@ def test_crash_with_telemetry_sampling_is_byte_identical():
     """Sampling fills sys.* baskets that never touch the WAL or the
     checkpoints: user-visible output must be unchanged by their presence
     across a kill-and-restart."""
-    spec = CrashSpec(
+    spec = Episode(
         seed=45,
         rows=tuple((v, v % 5) for v in range(30)),
-        case="passthrough",
+        workload="passthrough",
         policy="priority",
         batch_size=4,
         crash_after=9,
@@ -95,16 +101,16 @@ def test_crash_with_telemetry_sampling_is_byte_identical():
         fsync="always",
         sampling=True,
     )
-    result = check_crash_episode(spec)
+    result = check(spec, CRASH)
     assert result.crashed
     assert result.ok, result.explain()
     assert result.pre_crash
     assert result.post_recovery
 
 
-def test_planted_duplicate_delivery_bug_is_caught(monkeypatch):
-    """Disable high-water suppression: replayed rows re-deliver, and the
-    differential must flag the duplicates."""
+@pytest.fixture
+def duplicate_delivery_bug(monkeypatch):
+    """Disable high-water suppression: replayed rows re-deliver."""
     original = Emitter.activate
 
     def no_suppression(self):
@@ -112,18 +118,35 @@ def test_planted_duplicate_delivery_bug_is_caught(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(Emitter, "activate", no_suppression)
-    spec = CrashSpec(
-        seed=44,
-        rows=tuple((v + 11, 0) for v in range(20)),  # all pass the filter
-        case="filter",
-        policy="priority",
-        batch_size=2,
-        crash_after=12,
-        checkpoint_every=None,
-        fsync="off",
-    )
-    result = check_crash_episode(spec)
+
+
+DUPLICATE_BUG_EPISODE = Episode(
+    seed=44,
+    rows=tuple((v + 11, 0) for v in range(20)),  # all pass the filter
+    workload="filter",
+    policy="priority",
+    batch_size=2,
+    crash_after=12,
+    checkpoint_every=None,
+    fsync="off",
+)
+
+
+def test_planted_duplicate_delivery_bug_is_caught(duplicate_delivery_bug):
+    """The differential must flag the re-delivered duplicates."""
+    result = check(DUPLICATE_BUG_EPISODE, CRASH)
     assert result.crashed
     assert not result.ok
     combined = result.pre_crash + result.post_recovery
-    assert len(combined) > len(result.reference)  # duplicates, not loss
+    assert len(combined) > len(result.expected)  # duplicates, not loss
+
+
+def test_planted_duplicate_delivery_bug_shrinks(duplicate_delivery_bug):
+    """Crash episodes shrink like any other.  Without suppression even a
+    clean restart re-delivers, so one row is the minimal repro."""
+    shrunk, attempts = shrink(DUPLICATE_BUG_EPISODE, CRASH)
+    assert len(shrunk.rows) == 1
+    assert attempts <= 400
+    result = check(shrunk, CRASH)
+    assert not result.ok
+    assert len(result.got) > len(result.expected)  # duplicates, not loss

@@ -13,8 +13,7 @@ from repro.adapters.channels import InMemoryChannel
 from repro.core.clock import VirtualClock
 from repro.errors import DataCellError
 from repro.obs.flightrec import FlightRecorder
-from repro.simtest import EpisodeSpec, FaultPlan, FaultableChannel
-from repro.simtest.oracle import check_episode, run_streaming
+from repro.simtest import Episode, FaultPlan, FaultableChannel, check, execute
 
 ROWS = tuple((i % 30, i % 9) for i in range(36))
 
@@ -107,10 +106,10 @@ class TestFaultableChannel:
 
 class TestInjectedExceptions:
     def build(self, exception_rate=0.5):
-        spec = EpisodeSpec(
+        spec = Episode(
             seed=4, rows=ROWS, policy="random", exception_rate=exception_rate
         )
-        return run_streaming(spec)
+        return execute(spec)
 
     def test_exceptions_injected_and_pipeline_still_correct(self):
         outcome = self.build()
@@ -120,8 +119,8 @@ class TestInjectedExceptions:
             == outcome.episode.injected_exceptions
         )
         # the differential still holds: a crash delays work, never eats it
-        result = check_episode(
-            EpisodeSpec(
+        result = check(
+            Episode(
                 seed=4, rows=ROWS, policy="random", exception_rate=0.5
             )
         )

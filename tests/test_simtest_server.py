@@ -1,6 +1,6 @@
 """The simulated wire seam: episodes ingesting through the server path.
 
-``EpisodeSpec(via_server=True)`` replaces the episode's receptor with a
+``Config(wire=True)`` replaces the episode's receptor with a
 :class:`WireIngress` (real frame encode → decode → ingest queue) plus
 the real :class:`ServerIngestPump`, so the differential oracle's
 streaming ≡ one-shot claim covers the network ingest path — without
@@ -13,7 +13,7 @@ from repro import DataCell, LogicalClock
 from repro.adapters.channels import InMemoryChannel
 from repro.kernel.types import AtomType
 from repro.server.protocol import Command
-from repro.simtest.oracle import EpisodeSpec, check_episode
+from repro.simtest import Config, Episode, check
 from repro.simtest.server_episode import attach_server_ingress
 
 ROWS = tuple((v, v % 7) for v in range(-5, 25))
@@ -67,43 +67,40 @@ class TestWireIngress:
 @pytest.mark.parametrize("case", ["filter", "passthrough"])
 @pytest.mark.parametrize("fault_rate", [0.0, 0.3])
 def test_via_server_episodes_match_the_oracle(case, fault_rate):
-    spec = EpisodeSpec(
+    spec = Episode(
         seed=11,
         rows=ROWS,
-        case=case,
+        workload=case,
         policy="priority",
         batch_size=3,
         batch_fault_rate=fault_rate,
-        via_server=True,
     )
-    result = check_episode(spec)
+    result = check(spec, Config(wire=True))
     assert result.ok, result.explain()
 
 
 def test_via_server_starvation_policy():
     """Starving the wire transition stalls ingest without divergence."""
-    spec = EpisodeSpec(
+    spec = Episode(
         seed=5,
         rows=ROWS,
-        case="filter",
+        workload="filter",
         policy="starve:server_wire",
         batch_size=2,
-        via_server=True,
     )
-    result = check_episode(spec)
+    result = check(spec, Config(wire=True))
     assert result.ok, result.explain()
 
 
 def test_receptor_and_server_paths_agree():
     """The ingest path is an implementation detail of the claim."""
     for via_server in (False, True):
-        spec = EpisodeSpec(
+        spec = Episode(
             seed=23,
             rows=ROWS,
-            case="compound",
+            workload="compound",
             policy="round-robin",
             batch_size=4,
-            via_server=via_server,
         )
-        result = check_episode(spec)
+        result = check(spec, Config(wire=via_server))
         assert result.ok, result.explain()

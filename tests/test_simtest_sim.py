@@ -10,8 +10,7 @@ import pytest
 
 from repro.core.clock import VirtualClock
 from repro.errors import SchedulerError
-from repro.simtest import EpisodeSpec, SimScheduler
-from repro.simtest.oracle import run_streaming
+from repro.simtest import Episode, SimScheduler, execute
 from repro.simtest.policies import make_policy, policy_names
 from repro.simtest.sim import INGEST
 
@@ -19,15 +18,15 @@ ROWS = tuple((i % 25, i % 7) for i in range(40))
 
 
 def spec(**overrides):
-    base = dict(seed=11, rows=ROWS, case="filter", policy="random")
+    base = dict(seed=11, rows=ROWS, workload="filter", policy="random")
     base.update(overrides)
-    return EpisodeSpec(**base)
+    return Episode(**base)
 
 
 class TestBitReproducibility:
     def test_same_spec_same_episode(self):
-        first = run_streaming(spec())
-        second = run_streaming(spec())
+        first = execute(spec())
+        second = execute(spec())
         assert first.episode.firings == second.episode.firings
         assert first.episode.basket_digests == second.episode.basket_digests
         assert first.episode.signature() == second.episode.signature()
@@ -35,8 +34,8 @@ class TestBitReproducibility:
 
     def test_same_faulted_spec_same_episode(self):
         faulted = spec(batch_fault_rate=0.4, exception_rate=0.2)
-        first = run_streaming(faulted)
-        second = run_streaming(faulted)
+        first = execute(faulted)
+        second = execute(faulted)
         assert first.episode.signature() == second.episode.signature()
         assert first.delivered == second.delivered
         assert (
@@ -48,13 +47,13 @@ class TestBitReproducibility:
         # time_step=0 makes every scripted batch due at once, so the
         # policy has real choices (ingest vs receptor vs factory) at
         # every firing — spaced input forces a single enabled candidate
-        a = run_streaming(spec(seed=1, time_step=0.0)).episode
-        b = run_streaming(spec(seed=2, time_step=0.0)).episode
+        a = execute(spec(seed=1, time_step=0.0)).episode
+        b = execute(spec(seed=2, time_step=0.0)).episode
         assert a.firing_names() != b.firing_names()
 
     def test_policy_changes_schedule(self):
-        a = run_streaming(spec(policy="priority", time_step=0.0)).episode
-        b = run_streaming(spec(policy="inverted", time_step=0.0)).episode
+        a = execute(spec(policy="priority", time_step=0.0)).episode
+        b = execute(spec(policy="inverted", time_step=0.0)).episode
         assert a.firing_names() != b.firing_names()
 
 
@@ -63,10 +62,10 @@ class TestPolicies:
         "policy", list(policy_names()) + ["starve:tap"]
     )
     def test_ingest_is_interleaved_not_front_loaded(self, policy):
-        episode = run_streaming(spec(policy=policy)).episode
+        episode = execute(spec(policy=policy)).episode
         names = episode.firing_names()
         ingests = [i for i, n in enumerate(names) if n == INGEST]
-        assert len(ingests) == len(spec().input_events())
+        assert len(ingests) == len(spec().script())
         # scripted input arrives over virtual time, so processing firings
         # must appear between ingest firings, not only after all of them
         assert ingests[-1] > names.index("tap")

@@ -9,7 +9,24 @@ on the firing order, nor on min-tuples batching thresholds.
 
 import pytest
 
-from repro.simtest import run_window_differential
+from repro.simtest import Config, Episode, check
+
+
+def run_window_differential(
+    size, slide, rows, aggregate="sum", route="basic", batch_size=4,
+    **fields,
+):
+    """``(streaming, naive, sim episode)`` for one count-window episode."""
+    episode = Episode(
+        rows=tuple((v,) for v in rows),
+        workload="count_window",
+        window=(size, slide),
+        aggregates=(aggregate,),
+        batch_size=batch_size,
+        **{"seed": 0, **fields},
+    )
+    result = check(episode, Config(route))
+    return result.got, result.expected, result.run.episode
 
 
 def assert_windows_agree(streaming, naive):
@@ -79,10 +96,10 @@ class TestWindowsUnderAdversity:
     def test_reeval_vs_incremental_paths_agree(self):
         rows = list(range(31))
         inc, naive_a, _ = run_window_differential(
-            7, 3, rows, seed=9, incremental=True
+            7, 3, rows, seed=9, route="basic"
         )
         reeval, naive_b, _ = run_window_differential(
-            7, 3, rows, seed=9, incremental=False
+            7, 3, rows, seed=9, route="reeval"
         )
         assert inc == naive_a
         assert reeval == naive_b
